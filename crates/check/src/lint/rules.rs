@@ -62,12 +62,20 @@ fn has_token(code: &str, word: &str) -> bool {
     false
 }
 
+/// Whether the line is a single-line outer attribute (`#[...]`).
+fn is_attribute(line: &Line) -> bool {
+    let code = line.code.trim();
+    code.starts_with("#[") && code.ends_with(']')
+}
+
 /// Collects the comment text attached to line `i`: its own trailing
-/// comment plus the contiguous comment-only block directly above.
+/// comment plus the contiguous block of comment-only and attribute lines
+/// directly above, so a `// SAFETY:` may sit above the attributes (such
+/// as `#[target_feature]`) of the item it justifies.
 fn attached_comments(lines: &[Line], i: usize) -> String {
     let mut text = lines[i].comment.clone();
     let mut j = i;
-    while j > 0 && lines[j - 1].is_comment_only() {
+    while j > 0 && (lines[j - 1].is_comment_only() || is_attribute(&lines[j - 1])) {
         j -= 1;
         text.push('\n');
         text.push_str(&lines[j].comment);
@@ -478,6 +486,32 @@ mod tests {
         assert!(unsafe_safety("f.rs", &ok).is_empty());
         let bad = scan("unsafe { deref(p) }\n");
         assert_eq!(unsafe_safety("f.rs", &bad).len(), 1);
+    }
+
+    #[test]
+    fn target_feature_unsafe_fn_requires_safety_comment() {
+        let ok = scan(
+            "/// Two SHA-256 rounds.\n\
+             // SAFETY: callers first check `is_x86_feature_detected!(\"sha\")`.\n\
+             #[target_feature(enable = \"sha,sse2\")]\n\
+             #[inline]\n\
+             unsafe fn rounds(x: u32) -> u32 { x }\n",
+        );
+        assert!(unsafe_safety("f.rs", &ok).is_empty());
+        let bad = scan(
+            "/// Two SHA-256 rounds.\n\
+             #[target_feature(enable = \"sha,sse2\")]\n\
+             unsafe fn rounds(x: u32) -> u32 { x }\n",
+        );
+        assert_eq!(unsafe_safety("f.rs", &bad).len(), 1);
+        // A code line between the justification and the item detaches it.
+        let detached = scan(
+            "// SAFETY: callers check the CPU first.\n\
+             const N: usize = 4;\n\
+             #[target_feature(enable = \"sha\")]\n\
+             unsafe fn rounds(x: u32) -> u32 { x }\n",
+        );
+        assert_eq!(unsafe_safety("f.rs", &detached).len(), 1);
     }
 
     #[test]

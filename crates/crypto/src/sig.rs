@@ -27,6 +27,14 @@ use std::fmt;
 /// Number of message-digest bits, hence Lamport value pairs per key.
 const BITS: usize = 256;
 
+/// Deepest authentication path [`Signature::verify`] accepts: a tree over
+/// `u64` leaf indices has at most 64 levels.
+const MAX_DEPTH: usize = 64;
+
+const SK_TAG: &[u8] = b"medledger.ots.sk:";
+const PUB_TAG: &[u8] = b"medledger.ots.pub:";
+const LEAF_TAG: &[u8] = b"medledger.ots.leaf:";
+
 /// A verifying key: the Merkle root over the one-time public keys.
 ///
 /// Also used as the account identifier (`AccountId`) across the ledger.
@@ -96,31 +104,30 @@ impl fmt::Debug for Signature {
 
 impl Signature {
     /// Verifies this signature over `msg` against `public`.
+    ///
+    /// Malformed shapes (wrong vector lengths, an authentication path for
+    /// another leaf, or one deeper than any tree) are rejected before any
+    /// hashing.
     pub fn verify(&self, public: &PublicKey, msg: &[u8]) -> bool {
-        if self.revealed.len() != BITS || self.complements.len() != BITS {
+        if self.revealed.len() != BITS
+            || self.complements.len() != BITS
+            || self.auth_path.leaf_index != self.leaf_index
+            || self.auth_path.path.len() > MAX_DEPTH
+        {
             return false;
         }
         let digest = sha256(msg);
         // Reconstruct the one-time public key: for each bit, the public
         // value of the signed side is H(revealed); the other side comes
         // from `complements`.
-        let mut leaf_hasher = Sha256::new();
-        leaf_hasher.update(b"medledger.ots.leaf:");
-        for j in 0..BITS {
-            let bit = bit_at(&digest, j);
-            let signed_pub = sha256_concat(&[b"medledger.ots.pub:", self.revealed[j].as_bytes()]);
-            let (pub0, pub1) = if bit == 0 {
+        let leaf = ots_leaf(|j| {
+            let signed_pub = ots_public(&self.revealed[j]);
+            if bit_at(&digest, j) == 0 {
                 (signed_pub, self.complements[j])
             } else {
                 (self.complements[j], signed_pub)
-            };
-            leaf_hasher.update(pub0.as_bytes());
-            leaf_hasher.update(pub1.as_bytes());
-        }
-        let leaf = leaf_hasher.finalize();
-        if self.auth_path.leaf_index != self.leaf_index {
-            return false;
-        }
+            }
+        });
         self.auth_path.verify(&public.0, &leaf)
     }
 
@@ -157,6 +164,55 @@ impl fmt::Debug for KeyPair {
 
 fn bit_at(digest: &Hash256, j: usize) -> u8 {
     (digest.as_bytes()[j / 8] >> (7 - (j % 8))) & 1
+}
+
+/// The public value of one Lamport secret.
+fn ots_public(secret: &Hash256) -> Hash256 {
+    sha256_concat(&[PUB_TAG, secret.as_bytes()])
+}
+
+/// A one-time public key's Merkle leaf: the hash over its 256 public
+/// value pairs `pair(j) = (pub0, pub1)`.
+///
+/// The pairs are gathered first so the 16 KiB body is hashed as one run
+/// of whole blocks.
+fn ots_leaf(mut pair: impl FnMut(usize) -> (Hash256, Hash256)) -> Hash256 {
+    let mut body = Vec::with_capacity(2 * 32 * BITS);
+    for j in 0..BITS {
+        let (pub0, pub1) = pair(j);
+        body.extend_from_slice(pub0.as_bytes());
+        body.extend_from_slice(pub1.as_bytes());
+    }
+    sha256_concat(&[LEAF_TAG, &body])
+}
+
+/// The 512 Lamport secrets of one one-time key.
+///
+/// Secret `(bit_pos, bit_val)` of key `key_index` is
+/// `H(SK_TAG ‖ seed ‖ key_index ‖ bit_pos ‖ bit_val)` with both indices as
+/// big-endian `u64`: 17 + 32 + 8 + 8 + 1 = 66 bytes, two compressions.
+/// Because `bit_pos < 256`, the first 64 bytes (up to the seven zero high
+/// bytes of `bit_pos`) are the same for every secret of the key. They are
+/// compressed once here, and each secret then costs one compression on a
+/// clone of that midstate. The digests are unchanged.
+struct OtsSecrets(Sha256);
+
+impl OtsSecrets {
+    fn new(seed: &Hash256, key_index: u64) -> Self {
+        let mut h = Sha256::new();
+        h.update(SK_TAG);
+        h.update(seed.as_bytes());
+        h.update(&key_index.to_be_bytes());
+        h.update(&[0u8; 7]);
+        OtsSecrets(h)
+    }
+
+    fn secret(&self, bit_pos: usize, bit_val: u8) -> Hash256 {
+        debug_assert!(bit_pos < BITS);
+        let mut h = self.0.clone();
+        h.update(&[bit_pos as u8, bit_val]);
+        h.finalize()
+    }
 }
 
 impl KeyPair {
@@ -216,30 +272,14 @@ impl KeyPair {
         self.next_index = self.next_index.max(used.min(self.capacity));
     }
 
-    fn ots_secret(seed: &Hash256, key_index: u64, bit_pos: u64, bit_val: u8) -> Hash256 {
-        sha256_concat(&[
-            b"medledger.ots.sk:",
-            seed.as_bytes(),
-            &key_index.to_be_bytes(),
-            &bit_pos.to_be_bytes(),
-            &[bit_val],
-        ])
-    }
-
-    fn ots_public(secret: &Hash256) -> Hash256 {
-        sha256_concat(&[b"medledger.ots.pub:", secret.as_bytes()])
-    }
-
     fn ots_leaf_hash(seed: &Hash256, key_index: u64) -> Hash256 {
-        let mut h = Sha256::new();
-        h.update(b"medledger.ots.leaf:");
-        for j in 0..BITS as u64 {
-            for bit in 0..2u8 {
-                let pk = Self::ots_public(&Self::ots_secret(seed, key_index, j, bit));
-                h.update(pk.as_bytes());
-            }
-        }
-        h.finalize()
+        let secrets = OtsSecrets::new(seed, key_index);
+        ots_leaf(|j| {
+            (
+                ots_public(&secrets.secret(j, 0)),
+                ots_public(&secrets.secret(j, 1)),
+            )
+        })
     }
 
     /// Signs `msg`, consuming the next one-time key.
@@ -250,13 +290,13 @@ impl KeyPair {
         let idx = self.next_index;
         self.next_index += 1;
         let digest = sha256(msg);
+        let secrets = OtsSecrets::new(&self.seed, idx);
         let mut revealed = Vec::with_capacity(BITS);
         let mut complements = Vec::with_capacity(BITS);
         for j in 0..BITS {
             let bit = bit_at(&digest, j);
-            revealed.push(Self::ots_secret(&self.seed, idx, j as u64, bit));
-            let other = Self::ots_secret(&self.seed, idx, j as u64, 1 - bit);
-            complements.push(Self::ots_public(&other));
+            revealed.push(secrets.secret(j, bit));
+            complements.push(ots_public(&secrets.secret(j, 1 - bit)));
         }
         let auth_path = self
             .tree
@@ -338,6 +378,98 @@ pub fn fold_attestation(message: &[u8], shares: &[(PublicKey, Hash256)]) -> Hash
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::counter;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The direct 66-byte secret derivation that [`OtsSecrets`] shortcuts.
+    fn direct_secret(seed: &Hash256, key_index: u64, bit_pos: u64, bit_val: u8) -> Hash256 {
+        sha256_concat(&[
+            SK_TAG,
+            seed.as_bytes(),
+            &key_index.to_be_bytes(),
+            &bit_pos.to_be_bytes(),
+            &[bit_val],
+        ])
+    }
+
+    #[test]
+    fn midstate_secrets_match_direct_derivation() {
+        let seed = sha256(b"midstate");
+        for key_index in [0, 1, 7, u32::MAX as u64, 1 << 32, (1 << 32) + 5, u64::MAX] {
+            let secrets = OtsSecrets::new(&seed, key_index);
+            for j in 0..BITS {
+                for bit in 0..2 {
+                    assert_eq!(
+                        secrets.secret(j, bit),
+                        direct_secret(&seed, key_index, j as u64, bit),
+                        "key {key_index} bit {j}/{bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random seeds and key indices across the whole `u64` range.
+        #[test]
+        fn midstate_secrets_match_direct_for_random_keys(seed in vec(any::<u8>(), 32..33),
+                                                         key_index in any::<u64>(),
+                                                         bit_pos in 0usize..BITS,
+                                                         bit in 0u8..2) {
+            let seed = Hash256(seed.try_into().expect("32 bytes"));
+            prop_assert_eq!(
+                OtsSecrets::new(&seed, key_index).secret(bit_pos, bit),
+                direct_secret(&seed, key_index, bit_pos as u64, bit)
+            );
+        }
+    }
+
+    /// Pins the cost of the scheme in compressions: a one-time key costs
+    /// 1 midstate + 512 secrets + 512 public values + 257 leaf blocks =
+    /// 1,282; a sign costs 1 midstate + 512 secrets + 256 public
+    /// values = 769, plus the message digest.
+    #[test]
+    fn compression_counts() {
+        // Label seed (1) + 4 keys + 3 interior Merkle nodes (2 each).
+        let (mut kp, keygen) = counter::measure(|| KeyPair::generate("cost", 4));
+        assert_eq!(keygen, 1 + 4 * 1_282 + 3 * 2);
+        let (sig, sign) = counter::measure(|| kp.sign(b"m").expect("sign"));
+        assert_eq!(sign, 1 + 769);
+        // Message (1) + 256 public values + 257 leaf + 2 path nodes (2 each).
+        let (ok, verify) = counter::measure(|| sig.verify(&kp.public(), b"m"));
+        assert!(ok);
+        assert_eq!(verify, 1 + 256 + 257 + 2 * 2);
+    }
+
+    /// Hand-built hostile signatures whose shape is wrong are rejected
+    /// without a single compression.
+    #[test]
+    fn hostile_shapes_rejected_before_hashing() {
+        let mut kp = KeyPair::generate("hostile", 4);
+        let mut mismatched = kp.sign(b"m").expect("sign");
+        mismatched.auth_path.leaf_index = 3;
+        let forged = |depth: usize| Signature {
+            leaf_index: 0,
+            revealed: vec![Hash256::ZERO; BITS],
+            complements: vec![Hash256::ZERO; BITS],
+            auth_path: MerkleProof {
+                leaf_index: 0,
+                path: vec![Hash256::ZERO; depth],
+            },
+        };
+        for sig in [mismatched, forged(MAX_DEPTH + 1), forged(1 << 20)] {
+            let (ok, blocks) = counter::measure(|| sig.verify(&kp.public(), b"m"));
+            assert!(!ok);
+            assert_eq!(blocks, 0, "{sig:?} was hashed before being rejected");
+        }
+        // A well-formed shape is hashed and then fails on content.
+        let (ok, blocks) = counter::measure(|| forged(MAX_DEPTH).verify(&kp.public(), b"m"));
+        assert!(!ok);
+        assert!(blocks > 0);
+    }
 
     #[test]
     fn sign_verify_round_trip() {

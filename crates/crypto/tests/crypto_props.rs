@@ -9,15 +9,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// SHA-256 incremental hashing agrees with one-shot hashing for any
-    /// data and any split.
+    /// 0–1024-byte message (up to 17 blocks) cut into any number of
+    /// `update` calls. The `sha256` unit tests hold the one-shot digest to
+    /// the scalar backend.
     #[test]
-    fn sha256_incremental_agrees(data in proptest::collection::vec(any::<u8>(), 0..512),
-                                 split in 0usize..512) {
-        let split = split.min(data.len());
+    fn sha256_incremental_agrees(data in proptest::collection::vec(any::<u8>(), 0..1025),
+                                 cuts in proptest::collection::vec(0usize..1025, 0..12)) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
         let mut h = medledger_crypto::Sha256::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
+        let mut at = 0;
+        for cut in cuts {
+            h.update(&data[at..cut]);
+            at = cut;
+        }
+        h.update(&data[at..]);
         prop_assert_eq!(h.finalize(), sha256(&data));
+    }
+
+    /// A key pair re-derived from the same label, as recovery does,
+    /// has the same public key, and verifies what the original signed
+    /// with any of its one-time keys.
+    #[test]
+    fn rederived_keys_verify_old_signatures(seed in 0u32..1000, used in 0usize..4,
+                                            msg in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let label = format!("prop-rederive-{seed}");
+        let mut original = KeyPair::generate(&label, 4);
+        original.restore_used(used as u64);
+        let sig = original.sign(&msg).expect("capacity");
+        let recovered = KeyPair::generate(&label, 4);
+        prop_assert_eq!(recovered.public(), original.public());
+        prop_assert!(sig.verify(&recovered.public(), &msg));
     }
 
     /// Hash is injective in practice: different inputs, different digests

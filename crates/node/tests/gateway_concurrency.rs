@@ -320,6 +320,16 @@ fn peer_loops_own_state_and_see_wave_notifications() {
     let report = dep.pump().expect("wave");
     assert!(report.members > 0);
     let waves = report.wave;
+    // The pump's messages to a peer loop are one-way and arrive in order,
+    // the check-in last, so `pump` can return before a loop has counted
+    // them. Wait for every loop's check-in; everything sent before it has
+    // then been counted too.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while dep.telemetry().iter().any(|(_, c)| c.checkins < waves)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::yield_now();
+    }
     for (name, counts) in dep.telemetry() {
         assert_eq!(
             counts.checkouts, waves,
