@@ -13,7 +13,7 @@ use medledger_contracts::sharing::{
     RequestUpdateArgs,
 };
 use medledger_contracts::{ContractRuntime, SharedTableMeta, SharingContract};
-use medledger_crypto::{ack_message, fold_attestation, Hash256, KeyPair, Prg, Signature};
+use medledger_crypto::{ack_message, fold_attestation, par, Hash256, KeyPair, Prg, Signature};
 use medledger_ledger::{
     audit, AccountId, Block, Chain, Membership, Mempool, Receipt, SignedTransaction, Transaction,
     TxId, TxPayload, TxStatus,
@@ -789,10 +789,12 @@ impl System {
         // pre-prepare carries every transaction, so a group-committed
         // multi-tx block still costs a single round); the PoW model's
         // latency is the interval itself (a found block is announced).
+        // The transaction root is both the PBFT digest and the block's
+        // header root, so it is computed once for both.
+        let tx_root = Block::tx_root(&txs);
         let mut deciding_view = 0u64;
         let mut seal_ms = start;
         if let ConsensusKind::PrivatePbft { .. } = self.config.consensus {
-            let digest = Block::tx_root(&txs);
             let payload: usize = txs.iter().map(SignedTransaction::encoded_len).sum();
             let round = PbftRound::new(PbftConfig {
                 n: self.config.n_validators,
@@ -802,7 +804,7 @@ impl System {
                 seed: format!("{}-pbft", self.config.seed),
             })
             .payload_bytes(payload.max(64));
-            let out = round.run(height, digest, 3_600_000);
+            let out = round.run(height, tx_root, 3_600_000);
             let commit = out
                 .all_commit_ms
                 .ok_or_else(|| CoreError::ConsensusFailed(format!("height {height}")))?;
@@ -829,13 +831,14 @@ impl System {
         // Attribute the block to the proposer of the round that actually
         // decided it (view 0 normally; later views after view changes).
         let proposer = self.schedule.proposer(height, deciding_view);
-        let block = Block::assemble(
+        let block = Block::assemble_with_root(
             height,
             self.chain.tip().hash(),
             state_root,
             seal_ms,
             proposer,
             txs.clone(),
+            tx_root,
         )
         .in_wave(self.wave);
         self.chain.append(block)?;
@@ -1627,9 +1630,7 @@ impl System {
     /// receiver count.
     fn exec_fanout_workers(&self, receivers: usize) -> usize {
         let w = match self.config.fanout_workers {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            0 => par::host_parallelism(),
             w => w,
         };
         w.min(receivers.max(1))

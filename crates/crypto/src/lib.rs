@@ -19,6 +19,9 @@
 //!   derive keys and to make every experiment reproducible.
 //! * [`mod@crc32`] — CRC-32 frame checksums for the durable-storage WAL
 //!   and snapshot files (corruption detection, not authentication).
+//! * [`par`] — the workspace's one data-parallel partition helper:
+//!   contiguous chunks of a job list on scoped threads, results in input
+//!   order.
 //!
 //! The design document (DESIGN.md §2) records why these primitives are a
 //! faithful substitution for the paper's Ethereum accounts: only collision
@@ -38,6 +41,21 @@
 //! * **Midstate reuse.** The 512 Lamport secrets of one one-time key share
 //!   their first 64 input bytes, so [`KeyPair`] compresses that block once
 //!   per key and each secret costs one compression instead of two.
+//! * **Parallel batches.** [`par`] splits a job list into contiguous
+//!   chunks, runs the first on the caller's thread and the rest on scoped
+//!   threads, and returns the results in input order, so the output is
+//!   the same for any thread count. The host's parallelism is read once
+//!   per process, and a batch too small to repay a thread spawn runs
+//!   inline. Three per-item batches run on it: the one-time key leaves of
+//!   [`KeyPair::from_seed`] (set-up and recovery), the transaction leaves
+//!   of a block's Merkle root (`Block::tx_root` in `medledger-ledger`),
+//!   and a block's signature checks (`Chain::validate_block`, which
+//!   screens membership, nonces and conflict keys first so it returns the
+//!   same error as a one-by-one loop). The network fan-out pool
+//!   re-exports the same helper.
+//! * **Slicing-by-8 CRC-32.** Recovery checksums every chain and WAL byte;
+//!   [`mod@crc32`] folds eight bytes per table step, bit-identical to the
+//!   byte-at-a-time loop.
 //!
 //! **Unsafe.** The crate has exactly one `unsafe` block: the call into the
 //! SHA-extension compression, which is safe code compiled with extra
@@ -61,6 +79,7 @@ pub mod crc32;
 pub mod hash;
 pub mod hmac;
 pub mod merkle;
+pub mod par;
 pub mod prg;
 pub mod sha256;
 pub mod sig;

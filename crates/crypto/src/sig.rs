@@ -20,6 +20,7 @@
 
 use crate::hash::Hash256;
 use crate::merkle::{MerkleProof, MerkleTree};
+use crate::par;
 use crate::sha256::{sha256, sha256_concat, Sha256};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -34,6 +35,11 @@ const MAX_DEPTH: usize = 64;
 const SK_TAG: &[u8] = b"medledger.ots.sk:";
 const PUB_TAG: &[u8] = b"medledger.ots.pub:";
 const LEAF_TAG: &[u8] = b"medledger.ots.leaf:";
+
+/// Fewest one-time keys [`KeyPair::from_seed`] hands one worker thread.
+/// A key's leaf is 1,282 compressions, well above the cost of a scoped
+/// spawn, so any two keys repay one.
+const KEYGEN_MIN_CHUNK: usize = 1;
 
 /// A verifying key: the Merkle root over the one-time public keys.
 ///
@@ -226,11 +232,15 @@ impl KeyPair {
     }
 
     /// Generates a key pair from an explicit 32-byte seed.
+    ///
+    /// The one-time key leaves are independent, so they are derived on
+    /// the [`par`] helper: the leaves, and hence the key, are the same
+    /// for any number of threads.
     pub fn from_seed(seed: Hash256, capacity: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two() as u64;
-        let leaves: Vec<Hash256> = (0..capacity)
-            .map(|i| Self::ots_leaf_hash(&seed, i))
-            .collect();
+        let leaves = par::par_map((0..capacity).collect(), KEYGEN_MIN_CHUNK, |i| {
+            Self::ots_leaf_hash(&seed, i)
+        });
         let tree = MerkleTree::from_leaves(leaves);
         let public = PublicKey(tree.root());
         KeyPair {
@@ -407,6 +417,26 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The parallel key generation derives exactly the leaves, tree and
+    /// public key of a one-thread loop over the same leaf derivation.
+    #[test]
+    fn parallel_keygen_matches_sequential_leaves() {
+        let seed = sha256(b"parallel keygen");
+        for capacity in [1usize, 3, 64, 1024] {
+            let kp = KeyPair::from_seed(seed, capacity);
+            let leaves: Vec<Hash256> = (0..kp.capacity())
+                .map(|i| KeyPair::ots_leaf_hash(&seed, i))
+                .collect();
+            let tree = MerkleTree::from_leaves(leaves.clone());
+            assert_eq!(kp.capacity(), capacity.next_power_of_two() as u64);
+            assert_eq!(kp.public(), PublicKey(tree.root()), "capacity {capacity}");
+            for (i, leaf) in leaves.iter().enumerate() {
+                assert_eq!(kp.tree.leaf(i), Some(*leaf), "capacity {capacity} leaf {i}");
+            }
+            assert_eq!(kp.tree.leaf(leaves.len()), None);
         }
     }
 

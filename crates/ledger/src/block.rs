@@ -1,7 +1,8 @@
 //! Blocks and block headers.
 
 use crate::transaction::{AccountId, SignedTransaction};
-use medledger_crypto::{merkle::MerkleTree, sha256_concat, Hash256};
+use medledger_crypto::merkle::{leaf_hash, MerkleTree};
+use medledger_crypto::{par, sha256_concat, Hash256};
 use medledger_storage::Encode;
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +39,12 @@ impl BlockHeader {
     }
 }
 
+/// Fewest transactions [`Block::tx_root`] hands one worker thread. A
+/// leaf encodes and hashes one ~16 KiB signed transaction, about a third
+/// of a scoped spawn's cost, so a chunk of eight clearly repays the spawn
+/// and blocks under sixteen transactions never spawn.
+const TX_ROOT_MIN_CHUNK: usize = 8;
+
 /// A block: header plus ordered transactions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Block {
@@ -58,6 +65,30 @@ impl Block {
         txs: Vec<SignedTransaction>,
     ) -> Block {
         let tx_root = Self::tx_root(&txs);
+        Self::assemble_with_root(
+            height,
+            parent,
+            state_root,
+            timestamp_ms,
+            proposer,
+            txs,
+            tx_root,
+        )
+    }
+
+    /// Assembles a block whose transaction root the caller already
+    /// computed with [`Block::tx_root`] (a proposer's consensus digest).
+    /// The root is not rechecked here; [`crate::Chain::append`] rejects a
+    /// block whose root does not match its transactions.
+    pub fn assemble_with_root(
+        height: u64,
+        parent: Hash256,
+        state_root: Hash256,
+        timestamp_ms: u64,
+        proposer: AccountId,
+        txs: Vec<SignedTransaction>,
+        tx_root: Hash256,
+    ) -> Block {
         Block {
             header: BlockHeader {
                 height,
@@ -80,9 +111,15 @@ impl Block {
     }
 
     /// Merkle root over transaction encodings.
+    ///
+    /// The leaves (encode, then hash each transaction) are independent,
+    /// so large blocks derive them on the [`par`] helper; the root is the
+    /// same for any number of threads.
     pub fn tx_root(txs: &[SignedTransaction]) -> Hash256 {
-        let encoded: Vec<Vec<u8>> = txs.iter().map(SignedTransaction::encode).collect();
-        MerkleTree::from_data(&encoded).root()
+        let leaves = par::par_map(txs.iter().collect(), TX_ROOT_MIN_CHUNK, |stx| {
+            leaf_hash(&stx.encode())
+        });
+        MerkleTree::from_leaves(leaves).root()
     }
 
     /// The block hash (header digest).
@@ -117,7 +154,7 @@ impl Block {
 mod tests {
     use super::*;
     use crate::transaction::{Transaction, TxPayload};
-    use medledger_crypto::{merkle::leaf_hash, KeyPair};
+    use medledger_crypto::KeyPair;
 
     fn signed(n: u64, kp: &mut KeyPair) -> SignedTransaction {
         Transaction {
@@ -136,6 +173,22 @@ mod tests {
         let txs = vec![signed(0, &mut kp), signed(1, &mut kp)];
         let b = Block::assemble(1, Hash256::ZERO, Hash256::ZERO, 1000, kp.public(), txs);
         assert!(b.tx_root_valid());
+    }
+
+    /// The parallel root equals a one-thread Merkle tree over the
+    /// encodings, on both sides of the inline threshold.
+    #[test]
+    fn tx_root_matches_sequential_merkle_root() {
+        let mut kp = KeyPair::generate("blk-par", 32);
+        let txs: Vec<SignedTransaction> = (0..17).map(|n| signed(n, &mut kp)).collect();
+        for len in [0, 1, 2, 3, 4, 7, 8, 9, 16, 17] {
+            let encoded: Vec<Vec<u8>> = txs[..len].iter().map(SignedTransaction::encode).collect();
+            assert_eq!(
+                Block::tx_root(&txs[..len]),
+                MerkleTree::from_data(&encoded).root(),
+                "{len} txs"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!   [`std::thread`] workers (no runtime dependencies). Jobs are split
 //!   into *contiguous* chunks, each chunk runs sequentially on its own
 //!   worker, and results come back in input order — so the outcome is
-//!   byte-identical no matter how many OS threads actually ran.
+//!   byte-identical no matter how many OS threads actually ran. It and
+//!   [`partition_bounds`] are re-exported from `medledger_crypto::par`,
+//!   the workspace's one partition helper, which the crypto and ledger
+//!   batches (key generation, transaction roots, block signature checks)
+//!   run on too.
 //! * [`run_sharded`] is the shard-granular partitioning mode: per-receiver
 //!   groups of per-shard jobs flatten onto one pool, so a single
 //!   receiver's disjoint shards (a sharded peer store) still fill every
@@ -26,25 +30,7 @@
 //! [`partition_bounds`] is what makes traces, receipts and latency numbers
 //! independent of the host's core count.
 
-/// Splits `items` into at most `workers` contiguous chunks whose sizes
-/// differ by at most one. Returns `(start, end)` half-open ranges; empty
-/// input yields no chunks.
-pub fn partition_bounds(items: usize, workers: usize) -> Vec<(usize, usize)> {
-    if items == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, items);
-    let base = items / workers;
-    let extra = items % workers;
-    let mut bounds = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        bounds.push((start, start + len));
-        start += len;
-    }
-    bounds
-}
+pub use medledger_crypto::par::{partition_bounds, run_partitioned};
 
 /// The worker index that [`partition_bounds`] assigns item `index` to.
 pub fn worker_of(bounds: &[(usize, usize)], index: usize) -> usize {
@@ -52,44 +38,6 @@ pub fn worker_of(bounds: &[(usize, usize)], index: usize) -> usize {
         .iter()
         .position(|(s, e)| (*s..*e).contains(&index))
         .unwrap_or(0)
-}
-
-/// Runs `f` over `jobs` on up to `workers` scoped threads, returning the
-/// results **in input order**.
-///
-/// Jobs are partitioned with [`partition_bounds`]; each chunk executes
-/// sequentially on one worker, so two jobs in the same chunk never race
-/// and the result vector is independent of thread scheduling. With
-/// `workers <= 1` (or a single job) everything runs inline on the caller's
-/// thread — the pool never changes *what* is computed, only *where*.
-pub fn run_partitioned<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let n = jobs.len();
-    if workers <= 1 || n <= 1 {
-        return jobs.into_iter().map(f).collect();
-    }
-    let bounds = partition_bounds(n, workers);
-    let mut chunks: Vec<Vec<J>> = Vec::with_capacity(bounds.len());
-    let mut it = jobs.into_iter();
-    for (start, end) in &bounds {
-        chunks.push(it.by_ref().take(end - start).collect());
-    }
-    let f = &f;
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("fan-out worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
 }
 
 /// Shard-granular partitioning: runs per-receiver **groups** of per-shard
@@ -144,7 +92,7 @@ mod tests {
     #[test]
     fn partition_covers_all_items_contiguously() {
         for items in [0usize, 1, 5, 16, 17] {
-            for workers in [1usize, 2, 4, 100] {
+            for workers in [0usize, 1, 2, 4, 100] {
                 let b = partition_bounds(items, workers);
                 let total: usize = b.iter().map(|(s, e)| e - s).sum();
                 assert_eq!(total, items, "items={items} workers={workers}");
@@ -169,7 +117,7 @@ mod tests {
     #[test]
     fn run_partitioned_preserves_input_order() {
         let jobs: Vec<usize> = (0..33).collect();
-        for workers in [1usize, 2, 3, 8, 64] {
+        for workers in [0usize, 1, 2, 3, 8, 64] {
             let out = run_partitioned(jobs.clone(), workers, |j| j * 2);
             assert_eq!(out, jobs.iter().map(|j| j * 2).collect::<Vec<_>>());
         }
