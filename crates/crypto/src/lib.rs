@@ -41,18 +41,15 @@
 //! * **Midstate reuse.** The 512 Lamport secrets of one one-time key share
 //!   their first 64 input bytes, so [`KeyPair`] compresses that block once
 //!   per key and each secret costs one compression instead of two.
-//! * **Parallel batches.** [`par`] splits a job list into contiguous
-//!   chunks, runs the first on the caller's thread and the rest on scoped
-//!   threads, and returns the results in input order, so the output is
-//!   the same for any thread count. The host's parallelism is read once
-//!   per process, and a batch too small to repay a thread spawn runs
-//!   inline. Three per-item batches run on it: the one-time key leaves of
-//!   [`KeyPair::from_seed`] (set-up and recovery), the transaction leaves
-//!   of a block's Merkle root (`Block::tx_root` in `medledger-ledger`),
-//!   and a block's signature checks (`Chain::validate_block`, which
-//!   screens membership, nonces and conflict keys first so it returns the
-//!   same error as a one-by-one loop). The network fan-out pool
-//!   re-exports the same helper.
+//! * **Parallel key derivation.** [`par`] splits a job list into
+//!   contiguous chunks, runs the first on the caller's thread and the rest
+//!   on scoped threads, and returns the results in input order, so the
+//!   output is the same for any thread count. The host's parallelism is
+//!   read once per process. [`KeyPair::from_seed`] derives its one-time
+//!   key leaves on it (set-up and recovery), and the network fan-out pool
+//!   re-exports it. Block transaction roots and signature checks stay
+//!   one-by-one: no benchmark workload measured a gain from splitting
+//!   them.
 //! * **Slicing-by-8 CRC-32.** Recovery checksums every chain and WAL byte;
 //!   [`mod@crc32`] folds eight bytes per table step, bit-identical to the
 //!   byte-at-a-time loop.

@@ -2,23 +2,21 @@
 //! threads, with results in input order.
 //!
 //! This is the one partition helper of the workspace. The network fan-out
-//! pool re-exports it for per-receiver and per-shard jobs, and this crate
-//! and the ledger run their per-item crypto batches on it: the one-time
-//! key leaves of [`crate::KeyPair::from_seed`], the transaction leaves of
-//! a block's Merkle root and a block's signature checks.
+//! pool re-exports it for per-receiver and per-shard jobs, and
+//! [`crate::KeyPair::from_seed`] derives its one-time key leaves on it.
 //!
 //! Each chunk runs sequentially on one worker and the results are
 //! reassembled in input order, so what is computed never depends on how
-//! many threads ran it — only where. [`par_map`] sizes the pool from the
-//! host's parallelism, read once per process by [`host_parallelism`], and
-//! keeps batches too small to repay a thread spawn on the caller's thread.
+//! many threads ran it — only where. Callers size the pool from
+//! [`host_parallelism`], read once per process.
 
 use std::sync::OnceLock;
 
 /// The number of threads the host can run in parallel (at least 1).
 ///
 /// Read once per process: on Linux `available_parallelism` reads cgroup
-/// files on every call, which costs more than a small batch's hashing.
+/// files on every call, and the pool is sized once per key pair and per
+/// fan-out wave.
 pub fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -73,47 +71,14 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| scope.spawn(move || run_chunk(chunk, f)))
+            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
-        let (mut results, _) = run_chunk(first, f);
+        let mut results: Vec<R> = first.into_iter().map(f).collect();
         for h in handles {
-            let (rest, _blocks) = h.join().expect("partitioned worker panicked");
-            #[cfg(test)]
-            crate::sha256::counter::add(_blocks as usize);
-            results.extend(rest);
+            results.extend(h.join().expect("partitioned worker panicked"));
         }
         results
     })
-}
-
-/// Runs one chunk in order.
-#[cfg(not(test))]
-fn run_chunk<J, R>(chunk: Vec<J>, f: &impl Fn(J) -> R) -> (Vec<R>, u64) {
-    (chunk.into_iter().map(f).collect(), 0)
-}
-
-/// Runs one chunk in order and also returns the SHA-256 blocks it
-/// compressed, so a worker's compressions are credited to the thread that
-/// asked for them and cost tests stay exact under any worker count.
-#[cfg(test)]
-fn run_chunk<J, R>(chunk: Vec<J>, f: &impl Fn(J) -> R) -> (Vec<R>, u64) {
-    crate::sha256::counter::measure(|| chunk.into_iter().map(f).collect())
-}
-
-/// Maps `f` over `jobs` in input order, on as many threads as the host
-/// offers but never fewer than `min_chunk` jobs per thread.
-///
-/// `min_chunk` is the caller's break-even batch: a scoped spawn costs
-/// tens of microseconds, so a batch below `2 * min_chunk` jobs runs inline
-/// and never spawns. A single job never spawns.
-pub fn par_map<J, R, F>(jobs: Vec<J>, min_chunk: usize, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let workers = host_parallelism().min(jobs.len() / min_chunk.max(1));
-    run_partitioned(jobs, workers, f)
 }
 
 #[cfg(test)]
@@ -121,23 +86,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential_map_for_any_chunk_size() {
-        let jobs: Vec<u64> = (0..37).collect();
-        let serial: Vec<u64> = jobs.iter().map(|j| j * j + 1).collect();
-        for min_chunk in [0usize, 1, 2, 5, 36, 37, 100] {
-            assert_eq!(par_map(jobs.clone(), min_chunk, |j| j * j + 1), serial);
-        }
-        assert!(par_map(Vec::<u64>::new(), 1, |j| j).is_empty());
-    }
-
-    #[test]
-    fn small_batches_stay_on_the_calling_thread() {
+    fn single_jobs_and_first_chunks_run_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let on_caller = |_: usize| std::thread::current().id() == caller;
-        assert!(par_map(vec![0], 1, on_caller).into_iter().all(|x| x));
-        assert!(par_map(vec![0; 7], 4, on_caller).into_iter().all(|x| x));
-        // The first chunk always runs on the caller, even when others spawn.
-        assert!(par_map(vec![0; 64], 1, on_caller)[0]);
+        assert!(run_partitioned(vec![0], 4, on_caller)
+            .into_iter()
+            .all(|x| x));
+        assert!(run_partitioned(vec![0; 7], 1, on_caller)
+            .into_iter()
+            .all(|x| x));
+        let spread = run_partitioned(vec![0; 64], 2, on_caller);
+        assert!(spread[..32].iter().all(|x| *x));
+        assert!(!spread[32..].iter().any(|x| *x));
     }
 
     #[test]

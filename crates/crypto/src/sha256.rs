@@ -377,7 +377,7 @@ pub(crate) mod counter {
         static BLOCKS: Cell<u64> = const { Cell::new(0) };
     }
 
-    pub(crate) fn add(blocks: usize) {
+    pub(super) fn add(blocks: usize) {
         BLOCKS.with(|c| c.set(c.get() + blocks as u64));
     }
 

@@ -36,11 +36,6 @@ const SK_TAG: &[u8] = b"medledger.ots.sk:";
 const PUB_TAG: &[u8] = b"medledger.ots.pub:";
 const LEAF_TAG: &[u8] = b"medledger.ots.leaf:";
 
-/// Fewest one-time keys [`KeyPair::from_seed`] hands one worker thread.
-/// A key's leaf is 1,282 compressions, well above the cost of a scoped
-/// spawn, so any two keys repay one.
-const KEYGEN_MIN_CHUNK: usize = 1;
-
 /// A verifying key: the Merkle root over the one-time public keys.
 ///
 /// Also used as the account identifier (`AccountId`) across the ledger.
@@ -234,11 +229,12 @@ impl KeyPair {
     /// Generates a key pair from an explicit 32-byte seed.
     ///
     /// The one-time key leaves are independent, so they are derived on
-    /// the [`par`] helper: the leaves, and hence the key, are the same
-    /// for any number of threads.
+    /// the [`par`] helper, one chunk per host thread: the leaves, and
+    /// hence the key, are the same for any number of threads. A leaf is
+    /// 1,282 compressions, so even two of them repay a thread spawn.
     pub fn from_seed(seed: Hash256, capacity: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two() as u64;
-        let leaves = par::par_map((0..capacity).collect(), KEYGEN_MIN_CHUNK, |i| {
+        let leaves = par::run_partitioned((0..capacity).collect(), par::host_parallelism(), |i| {
             Self::ots_leaf_hash(&seed, i)
         });
         let tree = MerkleTree::from_leaves(leaves);
@@ -463,9 +459,22 @@ mod tests {
     /// values = 769, plus the message digest.
     #[test]
     fn compression_counts() {
-        // Label seed (1) + 4 keys + 3 interior Merkle nodes (2 each).
-        let (mut kp, keygen) = counter::measure(|| KeyPair::generate("cost", 4));
-        assert_eq!(keygen, 1 + 4 * 1_282 + 3 * 2);
+        // Keygen derives its leaves on worker threads, whose compressions
+        // this thread's counter does not see, so its parts are counted
+        // here: 1,282 per one-time key leaf, then 3 interior Merkle nodes
+        // (2 each) over 4 leaves.
+        let seed = sha256(b"cost");
+        let mut kp = KeyPair::from_seed(seed, 4);
+        let leaves: Vec<Hash256> = (0..4)
+            .map(|i| {
+                let (leaf, blocks) = counter::measure(|| KeyPair::ots_leaf_hash(&seed, i));
+                assert_eq!(blocks, 1_282, "leaf {i}");
+                leaf
+            })
+            .collect();
+        let (tree, blocks) = counter::measure(|| MerkleTree::from_leaves(leaves));
+        assert_eq!(blocks, 3 * 2);
+        assert_eq!(PublicKey(tree.root()), kp.public());
         let (sig, sign) = counter::measure(|| kp.sign(b"m").expect("sign"));
         assert_eq!(sign, 1 + 769);
         // Message (1) + 256 public values + 257 leaf + 2 path nodes (2 each).

@@ -1,8 +1,7 @@
 //! Blocks and block headers.
 
 use crate::transaction::{AccountId, SignedTransaction};
-use medledger_crypto::merkle::{leaf_hash, MerkleTree};
-use medledger_crypto::{par, sha256_concat, Hash256};
+use medledger_crypto::{merkle::MerkleTree, sha256_concat, Hash256};
 use medledger_storage::Encode;
 use serde::{Deserialize, Serialize};
 
@@ -38,12 +37,6 @@ impl BlockHeader {
         sha256_concat(&[b"medledger.block.v2:", &Encode::encoded(self)])
     }
 }
-
-/// Fewest transactions [`Block::tx_root`] hands one worker thread. A
-/// leaf encodes and hashes one ~16 KiB signed transaction, about a third
-/// of a scoped spawn's cost, so a chunk of eight clearly repays the spawn
-/// and blocks under sixteen transactions never spawn.
-const TX_ROOT_MIN_CHUNK: usize = 8;
 
 /// A block: header plus ordered transactions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -111,15 +104,9 @@ impl Block {
     }
 
     /// Merkle root over transaction encodings.
-    ///
-    /// The leaves (encode, then hash each transaction) are independent,
-    /// so large blocks derive them on the [`par`] helper; the root is the
-    /// same for any number of threads.
     pub fn tx_root(txs: &[SignedTransaction]) -> Hash256 {
-        let leaves = par::par_map(txs.iter().collect(), TX_ROOT_MIN_CHUNK, |stx| {
-            leaf_hash(&stx.encode())
-        });
-        MerkleTree::from_leaves(leaves).root()
+        let encoded: Vec<Vec<u8>> = txs.iter().map(SignedTransaction::encode).collect();
+        MerkleTree::from_data(&encoded).root()
     }
 
     /// The block hash (header digest).
@@ -154,7 +141,7 @@ impl Block {
 mod tests {
     use super::*;
     use crate::transaction::{Transaction, TxPayload};
-    use medledger_crypto::KeyPair;
+    use medledger_crypto::{merkle::leaf_hash, KeyPair};
 
     fn signed(n: u64, kp: &mut KeyPair) -> SignedTransaction {
         Transaction {
@@ -173,22 +160,6 @@ mod tests {
         let txs = vec![signed(0, &mut kp), signed(1, &mut kp)];
         let b = Block::assemble(1, Hash256::ZERO, Hash256::ZERO, 1000, kp.public(), txs);
         assert!(b.tx_root_valid());
-    }
-
-    /// The parallel root equals a one-thread Merkle tree over the
-    /// encodings, on both sides of the inline threshold.
-    #[test]
-    fn tx_root_matches_sequential_merkle_root() {
-        let mut kp = KeyPair::generate("blk-par", 32);
-        let txs: Vec<SignedTransaction> = (0..17).map(|n| signed(n, &mut kp)).collect();
-        for len in [0, 1, 2, 3, 4, 7, 8, 9, 16, 17] {
-            let encoded: Vec<Vec<u8>> = txs[..len].iter().map(SignedTransaction::encode).collect();
-            assert_eq!(
-                Block::tx_root(&txs[..len]),
-                MerkleTree::from_data(&encoded).root(),
-                "{len} txs"
-            );
-        }
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! The chain: an append-only, validated sequence of blocks.
 
 use crate::block::Block;
-use crate::transaction::{AccountId, SignedTransaction, TxId};
-use medledger_crypto::{par, Hash256};
+use crate::transaction::{AccountId, TxId};
+use medledger_crypto::Hash256;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-
-/// Fewest signature checks [`Chain::validate_block`] hands one worker
-/// thread. A check is ~520 compressions; two of them outweigh a scoped
-/// spawn, and a one-transaction block never spawns.
-const VERIFY_MIN_CHUNK: usize = 2;
 
 /// Chain validation errors.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -212,10 +207,6 @@ impl Chain {
     }
 
     /// Validates `block` against the current tip without appending.
-    ///
-    /// Returns the first failure in block order, where each transaction
-    /// is checked for membership, signature, nonce and conflict key in
-    /// that order. The signatures are verified in parallel.
     pub fn validate_block(&self, block: &Block) -> Result<(), ChainError> {
         let tip = self.tip();
         if block.header.height != tip.header.height + 1 {
@@ -238,62 +229,36 @@ impl Chain {
         if !block.tx_root_valid() {
             return Err(ChainError::BadTxRoot);
         }
-        // Membership, nonces and conflict keys are cheap and depend on the
-        // transactions before them, so they run first, in order. Only the
-        // signatures the one-by-one order would reach are then checked,
-        // independently and in parallel: every transaction before the
-        // first cheap failure, plus the failing one when its check comes
-        // after the signature's (nonce, conflict key).
-        let (reached, first_failure) = self.screen_txs(&block.txs);
-        let valid = par::par_map(
-            block.txs[..reached].iter().collect(),
-            VERIFY_MIN_CHUNK,
-            SignedTransaction::verify_signature,
-        );
-        if let Some(i) = valid.iter().position(|ok| !ok) {
-            return Err(ChainError::BadSignature {
-                tx: block.txs[i].id(),
-            });
-        }
-        first_failure.map_or(Ok(()), Err)
-    }
-
-    /// Runs every check of `txs` except the signatures, in block order.
-    ///
-    /// Per transaction the full order is membership, signature, nonce,
-    /// conflict key. Returns how many leading transactions the full order
-    /// verifies the signature of, and the first non-signature failure.
-    fn screen_txs(&self, txs: &[SignedTransaction]) -> (usize, Option<ChainError>) {
         let mut seen_keys: BTreeSet<&str> = BTreeSet::new();
         let mut nonces: BTreeMap<AccountId, u64> = BTreeMap::new();
-        for (i, stx) in txs.iter().enumerate() {
+        for stx in &block.txs {
             if !self.membership.is_member(&stx.tx.sender) {
-                let err = ChainError::UnknownMember {
+                return Err(ChainError::UnknownMember {
                     account: stx.tx.sender,
-                };
-                return (i, Some(err));
+                });
+            }
+            if !stx.verify_signature() {
+                return Err(ChainError::BadSignature { tx: stx.id() });
             }
             let expected = nonces
                 .get(&stx.tx.sender)
                 .copied()
                 .unwrap_or_else(|| self.expected_nonce(&stx.tx.sender));
             if stx.tx.nonce != expected {
-                let err = ChainError::BadNonce {
+                return Err(ChainError::BadNonce {
                     account: stx.tx.sender,
                     expected,
                     actual: stx.tx.nonce,
-                };
-                return (i + 1, Some(err));
+                });
             }
             nonces.insert(stx.tx.sender, expected + 1);
             if let Some(key) = &stx.tx.conflict_key {
                 if !seen_keys.insert(key.as_str()) {
-                    let err = ChainError::ConflictKeyCollision { key: key.clone() };
-                    return (i + 1, Some(err));
+                    return Err(ChainError::ConflictKeyCollision { key: key.clone() });
                 }
             }
         }
-        (txs.len(), None)
+        Ok(())
     }
 
     /// Validates and appends a block, updating nonce tracking.
@@ -360,126 +325,6 @@ mod tests {
             net.validator.public(),
             txs,
         )
-    }
-
-    /// The one-transaction-at-a-time loop `validate_block` replaced: the
-    /// oracle its screened, parallel checks must match error for error.
-    fn reference_tx_checks(chain: &Chain, block: &Block) -> Result<(), ChainError> {
-        let mut seen_keys: BTreeSet<&str> = BTreeSet::new();
-        let mut nonces: BTreeMap<AccountId, u64> = BTreeMap::new();
-        for stx in &block.txs {
-            if !chain.membership.is_member(&stx.tx.sender) {
-                return Err(ChainError::UnknownMember {
-                    account: stx.tx.sender,
-                });
-            }
-            if !stx.verify_signature() {
-                return Err(ChainError::BadSignature { tx: stx.id() });
-            }
-            let expected = nonces
-                .get(&stx.tx.sender)
-                .copied()
-                .unwrap_or_else(|| chain.expected_nonce(&stx.tx.sender));
-            if stx.tx.nonce != expected {
-                return Err(ChainError::BadNonce {
-                    account: stx.tx.sender,
-                    expected,
-                    actual: stx.tx.nonce,
-                });
-            }
-            nonces.insert(stx.tx.sender, expected + 1);
-            if let Some(key) = &stx.tx.conflict_key {
-                if !seen_keys.insert(key.as_str()) {
-                    return Err(ChainError::ConflictKeyCollision { key: key.clone() });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Blocks of six transactions from two members, with one or two
-    /// faults — unknown member, bad signature, bad nonce, conflict-key
-    /// collision — at every position and pair of positions. Each must
-    /// return exactly the reference loop's error.
-    #[test]
-    fn validate_block_matches_sequential_reference() {
-        const N: usize = 6;
-        fn sign(kp: &mut KeyPair, nonce: u64, key: usize) -> crate::SignedTransaction {
-            Transaction {
-                sender: kp.public(),
-                nonce,
-                payload: TxPayload::Noop,
-                conflict_key: Some(format!("k{key}")),
-            }
-            .sign(kp)
-            .expect("sign")
-        }
-        let mut alice = KeyPair::generate("tbl-alice", 32);
-        let mut bob = KeyPair::generate("tbl-bob", 32);
-        let mut outsider = KeyPair::generate("tbl-outsider", 8);
-        let validator = KeyPair::generate("tbl-validator", 2);
-        let mut membership = Membership::new([alice.public(), bob.public()]);
-        membership.add_validator(validator.public());
-        let chain = Chain::new(membership, validator.public());
-
-        // Position i is alice's (even i) or bob's (odd i) next nonce under
-        // its own conflict key; `faulty[i]` replaces it with one fault.
-        let mut ok = Vec::new();
-        let mut faulty = Vec::new();
-        for i in 0..N {
-            let kp = if i % 2 == 0 { &mut alice } else { &mut bob };
-            let nonce = (i / 2) as u64;
-            let good = sign(kp, nonce, i);
-            let mut tampered = good.clone();
-            tampered.tx.payload = TxPayload::CallContract {
-                contract: Hash256::ZERO,
-                method: "tampered".into(),
-                args: vec![],
-            };
-            faulty.push([
-                sign(&mut outsider, nonce, i),
-                tampered,
-                sign(kp, nonce + 100, i),
-                // Takes the next position's key, so that one collides.
-                sign(kp, nonce, (i + 1) % N),
-            ]);
-            ok.push(good);
-        }
-
-        let mut cases: Vec<Vec<(usize, usize)>> = vec![vec![]];
-        for p in 0..N {
-            for f in 0..4 {
-                cases.push(vec![(p, f)]);
-                for q in p + 1..N {
-                    for g in 0..4 {
-                        cases.push(vec![(p, f), (q, g)]);
-                    }
-                }
-            }
-        }
-        let mut outcomes = Vec::new();
-        for case in &cases {
-            let mut txs = ok.clone();
-            for &(pos, fault) in case {
-                txs[pos] = faulty[pos][fault].clone();
-            }
-            let block = Block::assemble(
-                1,
-                chain.tip().hash(),
-                Hash256::ZERO,
-                10,
-                validator.public(),
-                txs,
-            );
-            let expected = reference_tx_checks(&chain, &block);
-            assert_eq!(chain.validate_block(&block), expected, "faults {case:?}");
-            let kind = expected.as_ref().err().map(std::mem::discriminant);
-            if !outcomes.contains(&kind) {
-                outcomes.push(kind);
-            }
-        }
-        // Ok plus all four error kinds were exercised.
-        assert_eq!(outcomes.len(), 5);
     }
 
     #[test]

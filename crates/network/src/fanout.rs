@@ -11,9 +11,8 @@
 //!   worker, and results come back in input order — so the outcome is
 //!   byte-identical no matter how many OS threads actually ran. It and
 //!   [`partition_bounds`] are re-exported from `medledger_crypto::par`,
-//!   the workspace's one partition helper, which the crypto and ledger
-//!   batches (key generation, transaction roots, block signature checks)
-//!   run on too.
+//!   the workspace's one partition helper, which key generation runs on
+//!   too.
 //! * [`run_sharded`] is the shard-granular partitioning mode: per-receiver
 //!   groups of per-shard jobs flatten onto one pool, so a single
 //!   receiver's disjoint shards (a sharded peer store) still fill every
