@@ -1339,7 +1339,7 @@ impl System {
                 let full: u64 = peer
                     .shared_table(&table_id)?
                     .rows()
-                    .map(|r| r.encode().len() as u64)
+                    .map(|r| r.encoded_len() as u64)
                     .sum();
                 (
                     PayloadKind::Delta,
@@ -1349,7 +1349,7 @@ impl System {
                 )
             }
             PreparedPayload::Full { view } => {
-                let bytes: u64 = view.rows().map(|r| r.encode().len() as u64).sum();
+                let bytes: u64 = view.rows().map(|r| r.encoded_len() as u64).sum();
                 (PayloadKind::FullTable, view.len() as u64, bytes, bytes)
             }
         };

@@ -49,13 +49,13 @@ impl TableDelta {
     pub fn encoded_size(&self) -> usize {
         let mut bytes = 8; // length header
         for r in &self.inserts {
-            bytes += 1 + r.encode().len();
+            bytes += 1 + r.encoded_len();
         }
         for (k, r) in &self.updates {
-            bytes += 1 + encode_key(k).len() + r.encode().len();
+            bytes += 1 + key_len(k) + r.encoded_len();
         }
         for k in &self.deletes {
-            bytes += 1 + encode_key(k).len();
+            bytes += 1 + key_len(k);
         }
         bytes
     }
@@ -205,18 +205,14 @@ impl TableDelta {
             })?;
             out.inserts.push(old.clone());
         }
-        let schema = schema.clone();
         out.sort_canonical(|r| schema.key_of(r));
         Ok(out)
     }
 }
 
-fn encode_key(key: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * key.len());
-    for v in key {
-        v.encode_into(&mut out);
-    }
-    out
+/// Length of a key's canonical encoding (its cells, no count prefix).
+fn key_len(key: &[Value]) -> usize {
+    key.iter().map(Value::encoded_len).sum()
 }
 
 /// Computes the key-aligned delta from `old` to `new`.
@@ -243,8 +239,7 @@ pub fn diff_tables(old: &Table, new: &Table) -> TableDelta {
         }
     }
     // Canonical order for determinism.
-    let schema = new.schema().clone();
-    delta.sort_canonical(|r| schema.key_of(r));
+    delta.sort_canonical(|r| new.schema().key_of(r));
     delta
 }
 

@@ -1,65 +1,180 @@
-//! Table rows.
+//! Table rows: shared, immutable values.
+//!
+//! A committed row is held by many tables at once: on a receiving peer the
+//! shard store, the assembled copy, the source, the baseline and the
+//! baseline's shard shadow, plus every inverse delta and log record that
+//! mentions it. [`Row`] is therefore a reference-counted handle: `clone`
+//! bumps a count, and every holder reads the same cells.
+//!
+//! **Copy-on-write.** The cells never change under a reader. The one
+//! mutator, [`Row::get_mut`], detaches the row first (through
+//! [`Arc::make_mut`], which copies the cells only when another holder
+//! exists), so the other holders keep the cells they had.
+//!
+//! **Leaf memo.** Each row memoizes its Merkle leaf digest,
+//! `merkle::leaf_hash(&row.encode())`, on the first call of
+//! [`Row::leaf_digest`]. The table and shard hash caches read it from
+//! there, so a row shared by five tables is leaf-hashed once. The memo
+//! travels with the cells: a clone shares it, and [`Row::get_mut`]
+//! clears it on the copy it edits (never on the other holders).
+//!
+//! Sharing changes no bytes: [`Row::encode`], the serde form and every
+//! hash are those of the plain cell vector.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use medledger_crypto::{merkle, Hash256};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
+use std::sync::{Arc, OnceLock};
 
-/// A row: one value per schema column, in schema order.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
-pub struct Row(pub Vec<Value>);
+/// A row: one value per schema column, in schema order. Cloning shares
+/// the cells (see the module docs).
+#[derive(Clone)]
+pub struct Row(Arc<Cells>);
+
+/// The shared payload of a [`Row`].
+#[derive(Clone)]
+struct Cells {
+    values: Vec<Value>,
+    /// Memoized `merkle::leaf_hash(&encode())`; empty until first asked
+    /// for and after every edit.
+    leaf: OnceLock<Hash256>,
+}
+
+// Rows cross the fan-out and shard-apply worker threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Row>();
+};
 
 impl Row {
     /// Builds a row from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Row(values)
+        Row(Arc::new(Cells {
+            values,
+            leaf: OnceLock::new(),
+        }))
+    }
+
+    /// The cells, in schema order.
+    pub fn values(&self) -> &[Value] {
+        &self.0.values
     }
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.values.len()
     }
 
     /// True iff the row has no cells.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.values.is_empty()
     }
 
     /// The cell at `idx`, if present.
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.0.get(idx)
+        self.0.values.get(idx)
     }
 
-    /// Mutable access to the cell at `idx`.
+    /// Mutable access to the cell at `idx`. Copy-on-write: a row shared
+    /// with other holders is copied first, and this row's leaf memo is
+    /// cleared; the other holders are unaffected.
     pub fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
-        self.0.get_mut(idx)
+        if idx >= self.len() {
+            return None;
+        }
+        let cells = Arc::make_mut(&mut self.0);
+        cells.leaf = OnceLock::new();
+        cells.values.get_mut(idx)
     }
 
     /// Iterates over the cells.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
-        self.0.iter()
+        self.0.values.iter()
     }
 
     /// Canonical byte encoding (cell count, then each cell's encoding).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 * self.0.len() + 8);
-        out.extend_from_slice(&(self.0.len() as u64).to_be_bytes());
-        for v in &self.0 {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.extend_from_slice(&(self.len() as u64).to_be_bytes());
+        for v in self.iter() {
             v.encode_into(&mut out);
         }
         out
     }
 
+    /// Length of [`Row::encode`], without building it.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Value::encoded_len).sum::<usize>()
+    }
+
+    /// The row's Merkle leaf digest, `merkle::leaf_hash(&self.encode())`,
+    /// computed once and shared by every clone.
+    pub fn leaf_digest(&self) -> Hash256 {
+        *self
+            .0
+            .leaf
+            .get_or_init(|| merkle::leaf_hash(&self.encode()))
+    }
+
     /// Extracts the sub-row at the given column indexes.
     pub fn project(&self, idxs: &[usize]) -> Row {
-        Row(idxs.iter().map(|&i| self.0[i].clone()).collect())
+        idxs.iter().map(|&i| self[i].clone()).collect()
+    }
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::new(Vec::new())
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.values() == other.values()
+    }
+}
+
+impl Eq for Row {}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+/// Serialized as the bare cell sequence, like the `Vec<Value>` it wraps.
+impl Serialize for Row {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        self.values().serialize(s)
+    }
+}
+
+impl<'de> Deserialize<'de> for Row {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        Vec::<Value>::deserialize(d).map(Row::new)
     }
 }
 
 impl fmt::Debug for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Row[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -72,19 +187,19 @@ impl fmt::Debug for Row {
 impl Index<usize> for Row {
     type Output = Value;
     fn index(&self, idx: usize) -> &Value {
-        &self.0[idx]
+        &self.0.values[idx]
     }
 }
 
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
-        Row(values)
+        Row::new(values)
     }
 }
 
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row(iter.into_iter().collect())
+        Row::new(iter.into_iter().collect())
     }
 }
 

@@ -239,7 +239,7 @@ impl Shard {
                 .leaves
                 .entry(c)
                 .or_default()
-                .insert(key, merkle::leaf_hash(&row.encode()));
+                .insert(key, row.leaf_digest());
         }
         cache.valid = true;
     }
@@ -249,7 +249,6 @@ impl Shard {
     /// sub-delta. Validation and atomicity are [`Table::apply_delta`]'s;
     /// a failed apply leaves the shard untouched.
     pub fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
-        let schema = self.table.schema().clone();
         let inverse = self.table.apply_delta(delta)?;
         if self.heat.is_enabled() {
             self.heat.record(
@@ -289,10 +288,10 @@ impl Shard {
             cache.subroot = None;
         };
         for row in &delta.inserts {
-            touch(schema.key_of(row), Some(merkle::leaf_hash(&row.encode())));
+            touch(self.table.schema().key_of(row), Some(row.leaf_digest()));
         }
         for (key, row) in &delta.updates {
-            touch(key.clone(), Some(merkle::leaf_hash(&row.encode())));
+            touch(key.clone(), Some(row.leaf_digest()));
         }
         for key in &delta.deletes {
             touch(key.clone(), None);
@@ -504,10 +503,9 @@ impl ShardMap {
             }
         }
         self.commit_plan(&plan);
-        let schema = self.schema.clone();
         Ok(TableDelta::merge_disjoint(
             applied.into_iter().map(|(_, inv)| inv),
-            |r| schema.key_of(r),
+            |r| self.schema.key_of(r),
         ))
     }
 

@@ -267,7 +267,7 @@ impl Table {
             cache.invalidate();
             return;
         }
-        let leaf = merkle::leaf_hash(&row.encode());
+        let leaf = row.leaf_digest();
         let c = HashCache::chunk_of(&key_digest(key), cache.chunks.len());
         cache.chunks[c].insert(key.to_vec(), leaf);
         cache.mark_dirty(c);
@@ -467,8 +467,7 @@ impl Table {
             self.rows.push(row.clone());
             inverse.deletes.push(key);
         }
-        let schema = self.schema.clone();
-        inverse.sort_canonical(|r| schema.key_of(r));
+        inverse.sort_canonical(|r| self.schema.key_of(r));
         Ok(inverse)
     }
 
@@ -605,7 +604,7 @@ impl Table {
             let probe: Vec<Value> = left_shared.iter().map(|&i| lrow[i].clone()).collect();
             if let Some(matches) = buckets.get(&probe) {
                 for rrow in matches {
-                    let mut cells = lrow.0.clone();
+                    let mut cells = lrow.values().to_vec();
                     for &i in &right_only {
                         cells.push(rrow[i].clone());
                     }
@@ -636,7 +635,7 @@ impl Table {
             for row in &self.rows {
                 let key = self.schema.key_of(row);
                 let c = HashCache::chunk_of(&key_digest(&key), want_chunks);
-                cache.chunks[c].insert(key, merkle::leaf_hash(&row.encode()));
+                cache.chunks[c].insert(key, row.leaf_digest());
             }
             cache.digests = vec![None; want_chunks];
             cache.levels = {
